@@ -7,8 +7,9 @@
 //! - **warm query** — the same sweep again, answered from memo,
 //! - **update** — one `update_function` body edit,
 //! - **post-update query** — the sweep after the edit, which must
-//!   recompute only the changed function plus its band-collision
-//!   neighborhood (asserted via the corpus counters, not just timed).
+//!   recompute exactly the memos the edit dropped: those whose top-k
+//!   the changed function can enter or leave (asserted via the corpus
+//!   counters, not just timed).
 //!
 //! Results go to `results/BENCH_incremental.json`; `--smoke` shrinks
 //! the corpus for CI, `--full` grows it to paper scale.
@@ -117,10 +118,9 @@ fn main() {
     let post = corpus.stats();
 
     // O(changed), by counter: the post-update sweep recomputed exactly
-    // the invalidated neighborhood (changed function + band collisions),
-    // a small fraction of the corpus — everything else stayed memoized.
-    // (`funcs_invalidated` in stats is cumulative and includes ingest-
-    // time neighborhood dirtying; the update summary carries the delta.)
+    // the memos the edit dropped, a small fraction of the corpus —
+    // everything else stayed memoized. (`funcs_invalidated` in stats is
+    // cumulative; the update summary carries the edit's own count.)
     let recomputed = post.memo_misses - warm.memo_misses;
     let invalidated = up.funcs_invalidated;
     assert_eq!(
@@ -150,7 +150,7 @@ fn main() {
          \"warm_query_ns\":{warm_query_ns},\"update_ns\":{update_ns},\
          \"post_update_query_ns\":{post_update_query_ns},\
          \"memo_hits\":{},\"memo_misses\":{},\"funcs_invalidated\":{},\
-         \"memo_hit_rate\":{memo_hit_rate:.6}}}",
+         \"update_invalidated\":{invalidated},\"memo_hit_rate\":{memo_hit_rate:.6}}}",
         post.memo_hits, post.memo_misses, post.funcs_invalidated,
     );
     let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -36,25 +36,22 @@
 //! The epoch counter doubles as the corpus **revision**: every entry
 //! carries `rev` (the revision at which its fingerprint and band keys
 //! were computed — bumped by [`Corpus::update_function`]) and
-//! `dirty_rev` (the revision at which its *memoized ranked candidates*
-//! were last invalidated). Ranked-candidate queries are memoized in a
-//! [`QueryCache`]: a cached list computed under pinned epoch `P` is
-//! valid for a query pinned at `E` iff `dirty_rev ≤ min(P, E)` — i.e. no
-//! mutation has touched the entry's band-collision neighborhood since
-//! before either pin. Durable inputs (function bodies, [`MergeParams`])
-//! invalidate through `dirty_rev`; volatile inputs (the epoch itself,
-//! counters) never do — a query's result is a pure function of the
-//! durable state visible at its pin.
+//! `dirty_rev` (the revision at which its memoized ranking was last
+//! dropped). The memo holds each entry's top `k` candidates in a
+//! [`QueryCache`]: a list computed under pinned epoch `P` serves a query
+//! pinned at `E` for `k'` iff `dirty_rev ≤ min(P, E)` and either
+//! `k' ≤ k` or the list is shorter than `k` (then it holds every
+//! candidate).
 //!
-//! Invalidation granularity comes from
-//! [`ShardedLshIndex::apply_delta`]: a mutation removes/inserts band
-//! keys and gets back exactly the entries sharing a bucket with any
-//! touched key (old or new) — the changed functions plus their
-//! band-collision neighborhoods. Only those entries lose their memoized
-//! ranks; everything else answers the next query from cache. The
+//! A write drops only the memos it can change. Whole-module ingests and
+//! evictions drop every memo in the band-collision neighborhood that
+//! [`ShardedLshIndex::apply_delta`] returns. A single-function write
+//! keeps a neighbor's memo unless the changed function, or a third
+//! function the write moved across a bucket's cap window
+//! ([`ShardedLshIndex::displaced_by`]), could enter or leave its top-k. The
 //! [`CorpusStats`] counters `memo_hits`/`memo_misses`/`funcs_invalidated`
-//! make this observable (and jobs-invariant: none depends on worker
-//! count).
+//! (memos actually dropped) make this observable, and none depends on
+//! the worker count.
 //!
 //! ## Cancellation
 //!
@@ -77,7 +74,7 @@ use std::path::Path;
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, signature_similarity, FingerprintBackend};
 use f3m_fingerprint::encode::encode_function;
-use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for, BandKey};
+use f3m_fingerprint::lsh::{band_keys_for, probe_keys_for, BandKey, QueryScratch};
 use f3m_fingerprint::pager::PagerKind;
 use f3m_fingerprint::par::par_map_indexed;
 use f3m_fingerprint::resident::{ResidencyCounters, ResidentStore, RowRef};
@@ -88,6 +85,7 @@ use f3m_ir::module::Module;
 use f3m_ir::printer::print_function;
 
 use crate::pass::{run_pass, MergeReport, PassConfig};
+use crate::rank::{rank_order, top_k};
 
 /// Configuration of a [`Corpus`].
 #[derive(Clone, Debug)]
@@ -142,9 +140,9 @@ pub struct UpdateSummary {
     /// Whether the replacement body differed from the resident one
     /// (`false` for a pure `touch`, which only re-fingerprints).
     pub changed: bool,
-    /// Surviving resident functions whose memoized ranks this mutation
-    /// invalidated — the changed function plus its band-collision
-    /// neighborhood, old and new.
+    /// Memoized rankings of surviving resident functions this mutation
+    /// dropped: those whose top-k the changed function could enter or
+    /// leave, plus the function's own.
     pub funcs_invalidated: u64,
 }
 
@@ -217,7 +215,7 @@ pub struct CorpusStats {
     pub memo_hits: u64,
     /// Ranked-candidate queries that had to recompute.
     pub memo_misses: u64,
-    /// Surviving entries whose memoized ranks mutations invalidated.
+    /// Memoized rankings of surviving entries that mutations dropped.
     pub funcs_invalidated: u64,
     /// Cancellable queries aborted because a newer epoch superseded them.
     pub queries_superseded: u64,
@@ -357,21 +355,33 @@ struct Table {
     modules: Vec<ModuleRecord>,
 }
 
-/// One memoized ranked-candidate list: the full (untruncated,
-/// threshold-filtered, sorted) list for an entry, stamped with the epoch
-/// it was computed under.
+/// One memoized ranking: the top `k` candidates of an entry, best first,
+/// stamped with the epoch it was computed under. A list shorter than `k`
+/// is *complete*: it holds every candidate that passed the threshold.
 struct CachedRank {
     pinned: u64,
+    k: usize,
     ranked: Vec<(usize, f64)>,
+}
+
+impl CachedRank {
+    fn complete(&self) -> bool {
+        self.ranked.len() < self.k
+    }
 }
 
 /// Memo layer over per-entry ranked candidates. Lock order is always
 /// table before cache.
 type QueryCache = RwLock<HashMap<usize, CachedRank>>;
 
-/// Per-query pairwise similarity cache, keyed on `(min(i, j), max(i, j))`
-/// so the estimate for a symmetric pair is computed once per query.
-type SimCache = HashMap<(usize, usize), f64>;
+/// What a mutation did to the index, for [`Corpus::finalize_mutation`].
+enum Change {
+    /// Whole modules came or went; their band-collision neighborhood.
+    Bulk(Vec<usize>),
+    /// One function was updated, touched or added: its band neighborhood
+    /// and the functions the move pushed across a bucket's cap window.
+    One { id: usize, members: Vec<usize>, displaced: Vec<usize> },
+}
 
 #[derive(Default)]
 struct MemoCounters {
@@ -486,8 +496,8 @@ impl Corpus {
 
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
+        let mut t = self.table.write().unwrap();
         let inserted: Vec<(usize, Vec<BandKey>)> = {
-            let mut t = self.table.write().unwrap();
             if t.modules.iter().any(|r| r.live && r.name == name) {
                 return Err(format!("module `{name}` is already ingested (evict it first)"));
             }
@@ -529,7 +539,8 @@ impl Corpus {
             inserted
         };
         let dirty = self.index.apply_delta(&[], &inserted);
-        self.finalize_mutation(&dirty, next_epoch);
+        self.finalize_mutation(&mut t, Change::Bulk(dirty), next_epoch);
+        drop(t);
         let epoch = self.index.advance_epoch();
         debug_assert_eq!(epoch, next_epoch);
         Ok(IngestSummary { module: name, functions: inserted.len(), skipped, epoch })
@@ -541,8 +552,8 @@ impl Corpus {
     pub fn evict(&self, name: &str) -> Result<EvictSummary, String> {
         let _writer = self.mutate.lock().unwrap();
         let next_epoch = self.index.epoch() + 1;
+        let mut t = self.table.write().unwrap();
         let removed: Vec<(usize, Vec<BandKey>)> = {
-            let mut t = self.table.write().unwrap();
             let Some(mi) = t.modules.iter().position(|r| r.live && r.name == name) else {
                 return Err(format!("module `{name}` is not resident"));
             };
@@ -556,7 +567,8 @@ impl Corpus {
                 .collect()
         };
         let dirty = self.index.apply_delta(&removed, &[]);
-        self.finalize_mutation(&dirty, next_epoch);
+        self.finalize_mutation(&mut t, Change::Bulk(dirty), next_epoch);
+        drop(t);
         let epoch = self.index.advance_epoch();
         debug_assert_eq!(epoch, next_epoch);
         Ok(EvictSummary { module: name.to_string(), functions: removed.len(), epoch })
@@ -569,10 +581,9 @@ impl Corpus {
     /// of `func`; the resident module is re-rendered with that one body
     /// spliced in (print + parse, so the result is verified) and only the
     /// function's own fingerprint is recomputed. The index is updated by
-    /// delta — old band keys out, new keys in — and exactly the touched
-    /// band-collision neighborhood loses its memoized ranks. A `touch`
-    /// re-fingerprints the resident body and forces the same
-    /// invalidation without changing any IR.
+    /// delta — old band keys out, new keys in — and only the memos the
+    /// new body can change are dropped. A `touch` re-fingerprints the
+    /// resident body and drops the same way without changing any IR.
     pub fn update_function(
         &self,
         module: &str,
@@ -645,19 +656,18 @@ impl Corpus {
             (sig, keys)
         };
 
-        // Install the new body and stamps before touching the index, so
-        // any id the index surfaces always has backing entry data.
-        {
-            let mut t = self.table.write().unwrap();
-            if let Some(m2) = new_module {
-                t.modules[mi].module.set(m2);
-            }
-            let e = &mut t.entries[entry_id];
-            e.fp = Fingerprint::Owned { sig, keys: new_keys.clone() };
-            e.rev = next_epoch;
+        // Install the new body, move the index keys and drop memos under
+        // one table write lock, so no query ranks a half-moved index.
+        let mut t = self.table.write().unwrap();
+        if let Some(m2) = new_module {
+            t.modules[mi].module.set(m2);
         }
-        let dirty = self.index.apply_delta(&[(entry_id, old_keys)], &[(entry_id, new_keys)]);
-        let funcs_invalidated = self.finalize_mutation(&dirty, next_epoch);
+        let e = &mut t.entries[entry_id];
+        e.fp = Fingerprint::Owned { sig, keys: new_keys.clone() };
+        e.rev = next_epoch;
+        let change = self.move_entry(entry_id, old_keys, new_keys);
+        let funcs_invalidated = self.finalize_mutation(&mut t, change, next_epoch);
+        drop(t);
         let epoch = self.index.advance_epoch();
         debug_assert_eq!(epoch, next_epoch);
         Ok(UpdateSummary {
@@ -725,8 +735,8 @@ impl Corpus {
             (sig, keys)
         };
 
+        let mut t = self.table.write().unwrap();
         let entry_id = {
-            let mut t = self.table.write().unwrap();
             let id = t.entries.len();
             t.entries.push(Entry {
                 func: func.to_string(),
@@ -741,31 +751,93 @@ impl Corpus {
             t.modules[mi].entry_ids.push(id);
             id
         };
-        let dirty = self.index.apply_delta(&[], &[(entry_id, keys)]);
-        self.finalize_mutation(&dirty, next_epoch);
+        let change = self.move_entry(entry_id, Vec::new(), keys);
+        self.finalize_mutation(&mut t, change, next_epoch);
+        drop(t);
         let epoch = self.index.advance_epoch();
         debug_assert_eq!(epoch, next_epoch);
         Ok(IngestSummary { module: module.to_string(), functions: 1, skipped: 0, epoch })
     }
 
-    /// Marks `dirty` entries invalidated at `next_epoch` and drops their
-    /// memoized ranks. Returns how many *surviving* residents were
-    /// invalidated: entries created or evicted by this very mutation had
-    /// no reusable memo to lose and are not counted.
-    fn finalize_mutation(&self, dirty: &[usize], next_epoch: u64) -> u64 {
-        let mut t = self.table.write().unwrap();
+    /// Moves entry `id` from `old_keys` to `new_keys` (either may be empty).
+    /// Only buckets it leaves or joins change their cap windows: it keeps
+    /// its sorted position in the others.
+    fn move_entry(&self, id: usize, old_keys: Vec<BandKey>, new_keys: Vec<BandKey>) -> Change {
+        let only_in = |a: &[BandKey], b: &[BandKey]| -> Vec<BandKey> {
+            a.iter().filter(|k| !b.contains(k)).copied().collect()
+        };
+        let (left, joined) = (only_in(&old_keys, &new_keys), only_in(&new_keys, &old_keys));
+        let mut displaced = self.index.displaced_by(id, &left);
+        let members = self.index.apply_delta(&[(id, old_keys)], &[(id, new_keys)]);
+        displaced.extend(self.index.displaced_by(id, &joined));
+        displaced.sort_unstable();
+        displaced.dedup();
+        Change::One { id, members, displaced }
+    }
+
+    /// Drops the memoized rankings a mutation can change and marks their
+    /// entries invalidated at `next_epoch`; returns how many memos of
+    /// *surviving* entries were dropped. The caller holds the table write
+    /// lock from staging the mutation through this call.
+    ///
+    /// Only band-collision neighbors can rank differently, since a
+    /// candidate shares a bucket with its querier. A [`Change::Bulk`]
+    /// drops all of their memos. After a [`Change::One`] a querier's
+    /// candidates differ only in the moved function and the displaced
+    /// ones, so a neighbor keeps its memo unless one of those could enter
+    /// or leave it (see [`Corpus::may_rerank`]). Multi-probe queriers also
+    /// reach buckets they are not members of, so on a probed corpus every
+    /// entry counts as a neighbor.
+    fn finalize_mutation(&self, t: &mut Table, change: Change, next_epoch: u64) -> u64 {
         let mut cache = self.cache.write().unwrap();
+        let (mut neighbors, moved) = match change {
+            Change::Bulk(members) => (members, None),
+            Change::One { id, members, displaced } => (members, Some((id, displaced))),
+        };
+        if self.cfg.params.probes > 0 {
+            neighbors = (0..t.entries.len()).collect();
+        }
         let mut invalidated = 0u64;
-        for &id in dirty {
-            let e = &mut t.entries[id];
+        for x in neighbors {
+            let keep = match (&moved, cache.get(&x)) {
+                (Some((f, displaced)), Some(memo)) => {
+                    x != *f
+                        && !std::iter::once(f)
+                            .chain(displaced.iter().filter(|&&c| c != x))
+                            .any(|&c| self.may_rerank(t, x, memo, c))
+                }
+                _ => false,
+            };
+            if keep {
+                continue;
+            }
+            let e = &mut t.entries[x];
             e.dirty_rev = next_epoch;
-            cache.remove(&id);
-            if e.added < next_epoch && e.evicted > next_epoch {
+            if cache.remove(&x).is_some() && e.added < next_epoch && e.evicted > next_epoch {
                 invalidated += 1;
             }
         }
         self.counters.funcs_invalidated.fetch_add(invalidated, Ordering::Relaxed);
         invalidated
+    }
+
+    /// Whether candidate `c`, as it is now, could enter or leave `x`'s
+    /// memoized top-k `memo`, all other candidates staying as they were:
+    /// (a) `c` is in the list, (b) the list is complete and `c` passes
+    /// the threshold, or (c) `c` ranks ahead of the list's k-th entry.
+    fn may_rerank(&self, t: &Table, x: usize, memo: &CachedRank, c: usize) -> bool {
+        if memo.ranked.iter().any(|&(j, _)| j == c) {
+            return true;
+        }
+        let sim = signature_similarity(self.fp(&t.entries[x]).sig(), self.fp(&t.entries[c]).sig());
+        if sim < self.cfg.params.threshold {
+            return false;
+        }
+        match memo.ranked.last() {
+            _ if memo.complete() => true,
+            Some(&kth) => rank_order((c, sim), kth, |j| &t.entries[j].qualified).is_lt(),
+            None => false,
+        }
     }
 
     /// Top-`k` resident candidates for one function, by qualified
@@ -782,8 +854,7 @@ impl Corpus {
         let Some(&id) = rec.entry_ids.iter().find(|&&id| t.entries[id].func == func) else {
             return Err(format!("module `{module}` has no merge-eligible function `{func}`"));
         };
-        let mut sims = SimCache::new();
-        Ok((epoch, self.ranked(&t, id, epoch, k, &mut sims)))
+        Ok((epoch, self.ranked(&t, id, epoch, k, &mut QueryScratch::new())))
     }
 
     /// Top-`k` resident candidates for every merge-eligible function of
@@ -805,9 +876,9 @@ impl Corpus {
         let epoch = self.index.epoch();
         let t = self.table.read().unwrap();
         let rec = Self::live_module(&t, module)?;
-        let mut sims = SimCache::new();
+        let mut scratch = QueryScratch::new();
         let results =
-            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, &mut sims)).collect();
+            rec.entry_ids.iter().map(|&id| self.ranked(&t, id, epoch, k, &mut scratch)).collect();
         Ok((epoch, results))
     }
 
@@ -831,14 +902,14 @@ impl Corpus {
             let t = self.table.read().unwrap();
             Self::live_module(&t, module)?.entry_ids.clone()
         };
-        let mut sims = SimCache::new();
+        let mut scratch = QueryScratch::new();
         let mut results = Vec::with_capacity(entry_ids.len());
         for &id in &entry_ids {
             if is_superseded(epoch) {
                 return Ok(self.superseded(epoch));
             }
             let t = self.table.read().unwrap();
-            results.push(self.ranked(&t, id, epoch, k, &mut sims));
+            results.push(self.ranked(&t, id, epoch, k, &mut scratch));
         }
         // A mutation may have staged state we read without yet advancing
         // the epoch. If no writer is active now and the epoch still
@@ -876,7 +947,7 @@ impl Corpus {
     /// any shard count and across from-scratch rebuilds — which is what
     /// makes the global merge plan deterministic. Because the rankings
     /// run through the memo, a repeat call after a mutation recomputes
-    /// only the invalidated band-collision neighborhoods (observable via
+    /// only the memos it dropped (observable via
     /// `memo_hits`/`memo_misses` in [`CorpusStats`]).
     ///
     /// Returns the pinned epoch alongside the pairs; the whole scan runs
@@ -893,11 +964,11 @@ impl Corpus {
                 }
             }
         }
-        let mut sims = SimCache::new();
+        let mut scratch = QueryScratch::new();
         let mut best: HashMap<(String, String), (f64, bool)> = HashMap::new();
         for rec in t.modules.iter().filter(|r| r.live) {
             for &id in &rec.entry_ids {
-                let res = self.ranked(&t, id, epoch, k, &mut sims);
+                let res = self.ranked(&t, id, epoch, k, &mut scratch);
                 for cand in &res.candidates {
                     let (a, b) = if res.func <= cand.func {
                         (res.func.clone(), cand.func.clone())
@@ -937,22 +1008,27 @@ impl Corpus {
     }
 
     /// Ranks the candidates of entry `i` visible at `epoch`: probe the
-    /// sharded index, filter by epoch interval and similarity threshold,
-    /// order by similarity descending / entry order ascending. This is
-    /// the same rule as `CandidateSearch::ranked_candidates`, so daemon
-    /// queries agree with the offline seam over [`combine_modules`].
+    /// sharded index through the caller's reused `scratch`, filter by
+    /// epoch interval and similarity threshold, and keep the top `k`
+    /// under [`top_k`]'s order — the same rule as
+    /// `CandidateSearch::ranked_candidates`, so daemon queries agree with
+    /// the offline seam over [`combine_modules`].
     ///
-    /// The full list is memoized in the [`QueryCache`]: a cached list
-    /// computed under pinned epoch `P` serves a query pinned at `E` iff
-    /// `dirty_rev ≤ min(P, E)` — no mutation has touched this entry's
-    /// band-collision neighborhood since before either pin, so the two
-    /// pins see the same durable inputs. `sims` is the per-query pairwise
-    /// similarity cache shared across a module query's loop, so symmetric
-    /// pairs are estimated once per query, not once per endpoint.
-    fn ranked(&self, t: &Table, i: usize, epoch: u64, k: usize, sims: &mut SimCache) -> QueryResult {
+    /// The top `k` is memoized in the [`QueryCache`]: a list computed
+    /// under pinned epoch `P` serves a top-`k'` query pinned at `E` iff
+    /// `dirty_rev ≤ min(P, E)` — no mutation has dropped it since before
+    /// either pin — and either `k' ≤ k` or the list is complete.
+    fn ranked(
+        &self,
+        t: &Table,
+        i: usize,
+        epoch: u64,
+        k: usize,
+        scratch: &mut QueryScratch<usize>,
+    ) -> QueryResult {
         let ent = &t.entries[i];
         if let Some(c) = self.cache.read().unwrap().get(&i) {
-            if ent.dirty_rev <= c.pinned.min(epoch) {
+            if ent.dirty_rev <= c.pinned.min(epoch) && (k <= c.k || c.complete()) {
                 self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
                 return self.render_result(t, ent, c.ranked.iter().take(k).copied());
             }
@@ -961,39 +1037,32 @@ impl Corpus {
         let fp = self.fp(ent);
         // Multi-probe widens the probed key list with perturbed band
         // keys; `probes == 0` is exactly the classic single-probe query.
-        let (cands, _) = if self.cfg.params.probes > 0 {
+        if self.cfg.params.probes > 0 {
             let probed = probe_keys_for(self.cfg.params.lsh, fp.sig(), self.cfg.params.probes);
-            self.index.candidates_counted(&probed, i)
+            self.index.probe_keys_into(&probed, i, scratch);
         } else {
-            self.index.candidates_counted(fp.keys(), i)
-        };
-        let mut ranked: Vec<(usize, f64)> = cands
-            .into_iter()
-            .filter(|&j| {
+            self.index.probe_keys_into(fp.keys(), i, scratch);
+        }
+        // Score in row order: a resident store then faults each shard
+        // in at most once per ranking.
+        scratch.out.sort_unstable();
+        let mut ranked: Vec<(usize, f64)> = scratch
+            .out
+            .iter()
+            .filter(|&&j| {
                 let e = &t.entries[j];
                 e.added <= epoch && epoch < e.evicted
             })
-            .map(|j| {
-                let key = (i.min(j), i.max(j));
-                let sim = *sims
-                    .entry(key)
-                    .or_insert_with(|| {
-                        signature_similarity(fp.sig(), self.fp(&t.entries[j]).sig())
-                    });
-                (j, sim)
-            })
+            .map(|&j| (j, signature_similarity(fp.sig(), self.fp(&t.entries[j]).sig())))
             .filter(|&(_, sim)| sim >= self.cfg.params.threshold)
             .collect();
         // Ties (similarities are multiples of 1/k) break on qualified
         // name, not entry id: names are unique per epoch and survive a
         // from-scratch rebuild, so incremental and rebuilt corpora rank
         // identically even after updates reassigned internal ids.
-        ranked.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then_with(|| t.entries[a.0].qualified.cmp(&t.entries[b.0].qualified))
-        });
-        let result = self.render_result(t, ent, ranked.iter().take(k).copied());
-        self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, ranked });
+        top_k(&mut ranked, k, |j| &t.entries[j].qualified);
+        let result = self.render_result(t, ent, ranked.iter().copied());
+        self.cache.write().unwrap().insert(i, CachedRank { pinned: epoch, k, ranked });
         result
     }
 
@@ -1736,7 +1805,7 @@ mod tests {
         );
 
         // O(changed): with every live entry warmed, re-querying both
-        // modules recomputes exactly the invalidated neighborhood.
+        // modules recomputes exactly the dropped memos.
         c.query_module("alpha", 5).unwrap();
         c.query_module("beta", 5).unwrap();
         let miss_before = c.stats().memo_misses;
@@ -1760,6 +1829,29 @@ mod tests {
             "updated body equals the source body modulo the header line"
         );
         drop(fresh);
+    }
+
+    /// A body swap drops only the memos whose top-k the swapped function
+    /// can enter or leave: fewer than its band-collision neighborhood.
+    #[test]
+    fn body_swap_drops_fewer_memos_than_its_band_neighborhood() {
+        let c = corpus();
+        let alpha = workload("alpha", 11);
+        c.ingest(alpha.clone()).unwrap();
+        c.ingest(workload("beta", 22)).unwrap();
+        c.query_module("alpha", 5).unwrap();
+        c.query_module("beta", 5).unwrap();
+        let (dst, src) = family_pair(&alpha);
+        let keys = || {
+            let t = c.table.read().unwrap();
+            let e = t.entries.iter().find(|e| e.qualified == format!("alpha.{dst}")).unwrap();
+            c.keys_owned(e)
+        };
+        let old_keys = keys();
+        let up = c.update_function("alpha", &dst, Some(&body_swap_patch(&alpha, &dst, &src)));
+        let dropped = up.unwrap().funcs_invalidated;
+        let neighborhood = c.index.members_of_keys(&[old_keys, keys()].concat()).len() as u64;
+        assert!((1..neighborhood).contains(&dropped), "{dropped} of {neighborhood}");
     }
 
     #[test]

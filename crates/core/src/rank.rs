@@ -16,9 +16,7 @@
 //! indexed by function id) instead of per-function `Vec`s, so the build
 //! writes and the probes read cache-linear memory.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use f3m_fingerprint::adaptive::MergeParams;
 use f3m_fingerprint::backend::{backend_for, signature_similarity};
@@ -141,26 +139,45 @@ pub trait CandidateSearch {
     }
 }
 
-/// The shared ordering rule behind [`CandidateSearch::ranked_candidates`]:
-/// similarity descending, then function name ascending, then index
-/// ascending as the (unreachable while names are unique) final fallback.
-/// Index-based tie-breaks are *not* rebuild-stable — a from-scratch
-/// rebuild that assigns ids differently would reorder exact-tie
-/// candidates, and similarities are multiples of `1/k`, so exact ties are
-/// common. Every `ranked_candidates` implementation must sort through
-/// this helper so the corpus, the daemon and the global merge planner
-/// agree on one rebuild-stable order.
-fn sort_ranked(ranked: &mut [(usize, f64)], names: &[String]) {
-    ranked.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then_with(|| names[a.0].cmp(&names[b.0]))
-            .then(a.0.cmp(&b.0))
-    });
+/// Keeps the best `k` of `ranked`, best first, under the one candidate
+/// order every ranker shares — both [`CandidateSearch::ranked_candidates`]
+/// implementations and the corpus (`Corpus::ranked`): similarity
+/// descending, then `name` ascending, then index ascending as the
+/// (unreachable while names are unique) final fallback. Index-based
+/// tie-breaks are *not* rebuild-stable — a from-scratch rebuild that
+/// assigns ids differently would reorder exact-tie candidates, and
+/// similarities are multiples of `1/k`, so exact ties are common.
+///
+/// The order is total, so selecting the k-th best in linear time and
+/// sorting only the `k` survivors yields exactly the prefix a full sort
+/// would.
+pub(crate) fn top_k<'n>(
+    ranked: &mut Vec<(usize, f64)>,
+    k: usize,
+    name: impl Fn(usize) -> &'n str,
+) {
+    let order = |a: &(usize, f64), b: &(usize, f64)| rank_order(*a, *b, &name);
+    if k == 0 {
+        ranked.clear();
+    } else if ranked.len() > k {
+        ranked.select_nth_unstable_by(k - 1, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+}
+
+/// The candidate order behind [`top_k`]; `Less` means `a` ranks first.
+pub(crate) fn rank_order<'n>(
+    a: (usize, f64),
+    b: (usize, f64),
+    name: impl Fn(usize) -> &'n str,
+) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| name(a.0).cmp(name(b.0))).then(a.0.cmp(&b.0))
 }
 
 /// Snapshots the (unqualified within one module, qualified in a combined
 /// corpus module) function names backing a search structure, for the
-/// rebuild-stable tie-break in [`sort_ranked`].
+/// rebuild-stable tie-break in [`top_k`].
 fn capture_names(m: &Module, funcs: &[FuncId]) -> Vec<String> {
     funcs.iter().map(|&f| m.function(f).name.clone()).collect()
 }
@@ -213,83 +230,6 @@ impl CandidateSearch for Box<dyn CandidateSearch + Send + Sync> {
 
     fn index_stats(&self) -> IndexStats {
         (**self).index_stats()
-    }
-}
-
-/// Memoizing decorator over any [`CandidateSearch`]: the first
-/// `ranked_candidates` query for a function computes and caches the
-/// *full*, availability-unfiltered ranking; every later query answers
-/// from the memo, filtered by the caller's availability mask and
-/// truncated to `k`.
-///
-/// This is sound because availability only ever *removes* candidates
-/// (the driver masks functions consumed by commits): filtering a
-/// complete ranked list pointwise yields exactly what ranking the
-/// filtered pool would. [`CandidateSearch::invalidate`] drops the
-/// invalidated function's own memo (its index entry is gone) but leaves
-/// the others — their stale references to `idx` are masked by
-/// `available` just as the live index would mask them.
-pub struct MemoizedSearch<S> {
-    inner: S,
-    full: RwLock<HashMap<usize, Vec<(usize, f64)>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<S: CandidateSearch> MemoizedSearch<S> {
-    pub fn wrap(inner: S) -> MemoizedSearch<S> {
-        MemoizedSearch {
-            inner,
-            full: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(hits, misses)` of the ranked-candidates memo so far.
-    pub fn memo_counts(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
-impl<S: CandidateSearch> CandidateSearch for MemoizedSearch<S> {
-    fn num_functions(&self) -> usize {
-        self.inner.num_functions()
-    }
-
-    fn best_candidates(
-        &self,
-        i: usize,
-        available: &[bool],
-        counters: &mut QueryCounters,
-        scratch: &mut SearchScratch,
-    ) -> CandidateSet {
-        self.inner.best_candidates(i, available, counters, scratch)
-    }
-
-    fn invalidate(&mut self, idx: usize) {
-        self.inner.invalidate(idx);
-        self.full.write().unwrap().remove(&idx);
-    }
-
-    fn ranked_candidates(&self, i: usize, available: &[bool], k: usize) -> Vec<(usize, f64)> {
-        let filtered = |full: &[(usize, f64)]| {
-            full.iter().filter(|&&(j, _)| available[j]).take(k).copied().collect()
-        };
-        if let Some(full) = self.full.read().unwrap().get(&i) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return filtered(full);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let everyone = vec![true; self.inner.num_functions()];
-        let full = self.inner.ranked_candidates(i, &everyone, usize::MAX);
-        let result = filtered(&full);
-        self.full.write().unwrap().insert(i, full);
-        result
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        self.inner.index_stats()
     }
 }
 
@@ -347,8 +287,7 @@ impl CandidateSearch for ExhaustiveOpcodeSearch {
             .filter(|&(j, av)| *av && j != i)
             .map(|(j, _)| (j, self.fps[i].similarity(&self.fps[j])))
             .collect();
-        sort_ranked(&mut ranked, &self.names);
-        ranked.truncate(k);
+        top_k(&mut ranked, k, |j| &self.names[j]);
         ranked
     }
 }
@@ -476,8 +415,7 @@ impl CandidateSearch for LshBackendSearch {
             .map(|&j| (j, self.similarity(i, j)))
             .filter(|&(_, sim)| sim >= self.params.threshold)
             .collect();
-        sort_ranked(&mut ranked, &self.names);
-        ranked.truncate(k);
+        top_k(&mut ranked, k, |j| &self.names[j]);
         ranked
     }
 
@@ -500,7 +438,7 @@ mod tests {
     use super::*;
     use f3m_fingerprint::backend::BackendKind;
 
-    fn searches() -> (LshBackendSearch, MemoizedSearch<LshBackendSearch>, usize) {
+    fn searches() -> (LshBackendSearch, ExhaustiveOpcodeSearch, usize) {
         let mut spec = f3m_workloads::mini_suite()[0].clone();
         spec.functions = 32;
         spec.seed = 7;
@@ -511,62 +449,48 @@ mod tests {
             .filter(|&f| m.function(f).num_linked_insts() > 0)
             .collect();
         let n = funcs.len();
-        let params = MergeParams::static_default();
-        let plain = LshBackendSearch::build(&m, &funcs, params, 1);
-        let memo = MemoizedSearch::wrap(LshBackendSearch::build(&m, &funcs, params, 1));
-        (plain, memo, n)
+        let lsh = LshBackendSearch::build(&m, &funcs, MergeParams::static_default(), 1);
+        (lsh, ExhaustiveOpcodeSearch::build(&m, &funcs, 1), n)
     }
 
+    /// Top-k selection returns exactly the first `k` of the full sorted
+    /// ranking, for both rankers.
     #[test]
-    fn memoized_ranking_matches_plain_search() {
-        let (plain, memo, n) = searches();
+    fn top_k_ranking_is_a_prefix_of_the_full_ranking() {
+        let (lsh, exhaustive, n) = searches();
         let available = vec![true; n];
-        for i in 0..n {
-            assert_eq!(
-                memo.ranked_candidates(i, &available, 5),
-                plain.ranked_candidates(i, &available, 5),
-                "function {i}"
-            );
+        let searches: [&dyn CandidateSearch; 2] = [&lsh, &exhaustive];
+        for search in searches {
+            for i in 0..n {
+                let full = search.ranked_candidates(i, &available, usize::MAX);
+                assert!(full.windows(2).all(|w| w[0].1 >= w[1].1), "sorted: {full:?}");
+                for k in [0, 1, 5] {
+                    let top = search.ranked_candidates(i, &available, k);
+                    assert_eq!(top, full[..k.min(full.len())], "function {i}, k = {k}");
+                }
+            }
         }
-        let (hits, misses) = memo.memo_counts();
-        assert_eq!((hits, misses), (0, n as u64), "first pass is all misses");
-
-        // Second pass answers from the memo, byte-for-byte identically.
-        for i in 0..n {
-            assert_eq!(
-                memo.ranked_candidates(i, &available, 5),
-                plain.ranked_candidates(i, &available, 5)
-            );
-        }
-        assert_eq!(memo.memo_counts(), (n as u64, n as u64));
     }
 
+    /// Masking and invalidating a candidate removes exactly it: every
+    /// ranking equals the unmasked one with that candidate filtered out.
     #[test]
-    fn memoized_ranking_respects_availability_and_invalidate() {
-        let (mut plain, mut memo, n) = searches();
+    fn ranked_candidates_respect_availability_and_invalidate() {
+        let (mut lsh, _, n) = searches();
         let all = vec![true; n];
-        for i in 0..n {
-            memo.ranked_candidates(i, &all, usize::MAX);
-        }
+        let full: Vec<_> = (0..n).map(|i| lsh.ranked_candidates(i, &all, usize::MAX)).collect();
 
         // Mask a function that actually shows up as a candidate.
-        let victim = (0..n)
-            .find(|&i| !plain.ranked_candidates(i, &all, 1).is_empty())
-            .map(|i| plain.ranked_candidates(i, &all, 1)[0].0)
+        let victim = full
+            .iter()
+            .find_map(|r| r.first().map(|&(j, _)| j))
             .expect("workload families produce candidates");
         let mut masked = all.clone();
         masked[victim] = false;
-        plain.invalidate(victim);
-        memo.invalidate(victim);
-        for i in 0..n {
-            if i == victim {
-                continue;
-            }
-            assert_eq!(
-                memo.ranked_candidates(i, &masked, 5),
-                plain.ranked_candidates(i, &masked, 5),
-                "post-invalidate function {i}"
-            );
+        lsh.invalidate(victim);
+        for (i, full) in full.iter().enumerate().filter(|&(i, _)| i != victim) {
+            let expected: Vec<_> = full.iter().filter(|&&(j, _)| j != victim).take(5).copied().collect();
+            assert_eq!(lsh.ranked_candidates(i, &masked, 5), expected, "function {i}");
         }
     }
 

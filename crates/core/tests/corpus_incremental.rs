@@ -2,9 +2,12 @@
 //! every prefix of a randomized ingest/evict/update/query interleaving,
 //! the revision-stamped corpus answers module queries byte-identically
 //! to a from-scratch corpus rebuilt from the surviving module sources —
-//! and the whole transcript is identical across worker counts.
+//! and the whole transcript is identical across worker counts. Queries
+//! mix k = 1, 5 and 20, so memos computed at one k serve another.
 
-use f3m_core::corpus::{Corpus, CorpusConfig};
+use f3m_core::corpus::{Corpus, CorpusConfig, QueryResult};
+use f3m_fingerprint::backend::BackendKind;
+use f3m_fingerprint::MergeParams;
 use f3m_ir::module::Module;
 use f3m_ir::printer::print_module;
 use f3m_prng::SmallRng;
@@ -47,6 +50,46 @@ fn rename_patch(m: &Module, src: &str, fresh: &str) -> String {
     print_module(&patched)
 }
 
+/// One mutation of the interleaving, replayable on a twin corpus.
+enum Mutation {
+    Ingest(Module),
+    Evict(String),
+    Update { module: String, func: String, ir: Option<String> },
+    IngestFunction { module: String, func: String, ir: String },
+}
+
+impl Mutation {
+    /// Applies the mutation; for an update, returns whether it changed IR.
+    fn apply(&self, c: &Corpus) -> bool {
+        match self {
+            Mutation::Ingest(m) => c.ingest(m.clone()).map(|_| true),
+            Mutation::Evict(name) => c.evict(name).map(|_| true),
+            Mutation::Update { module, func, ir } => {
+                c.update_function(module, func, ir.as_deref()).map(|up| up.changed)
+            }
+            Mutation::IngestFunction { module, func, ir } => {
+                c.ingest_function(module, func, ir).map(|_| true)
+            }
+        }
+        .unwrap()
+    }
+}
+
+/// What the incremental corpus is checked against after each mutation.
+#[derive(Clone, Copy, PartialEq)]
+enum Reference {
+    None,
+    /// A fresh corpus ingesting the surviving module sources.
+    Rebuild,
+    /// A fresh corpus replaying the same mutations, never queried in
+    /// between: unlike a rebuild it assigns the same entry ids, and so
+    /// keeps the same order inside each bucket, which a small
+    /// `bucket_cap` makes visible.
+    Twin,
+}
+
+const KS: [usize; 3] = [1, 5, 20];
+
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Op {
     Ingest,
@@ -58,13 +101,19 @@ enum Op {
 }
 
 /// One deterministic interleaving driven by `seed`, applied to a corpus
-/// with `jobs` ingest workers. Returns the transcript of every query
-/// result along the way. After each mutation, queries on the live
-/// incremental corpus are compared byte-for-byte against a fresh corpus
-/// rebuilt from the surviving module sources.
-fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
-    let cfg = CorpusConfig { jobs, ..CorpusConfig::default() };
+/// with `jobs` ingest workers under `params`. Returns the transcript of
+/// every query result along the way. After each mutation, queries on
+/// the live incremental corpus are compared byte-for-byte against the
+/// `reference` corpus.
+fn run_interleaving(seed: u64, jobs: usize, params: MergeParams, reference: Reference) -> String {
+    let cfg = CorpusConfig { params, jobs, ..CorpusConfig::default() };
     let corpus = Corpus::new(cfg.clone());
+    let mut log: Vec<Mutation> = Vec::new();
+    let mutate = |m: Mutation, log: &mut Vec<Mutation>| {
+        let changed = m.apply(&corpus);
+        log.push(m);
+        changed
+    };
     let mut rng = SmallRng::seed_from_u64(seed);
     // Shadow state: live module names in ingest order. Sources are read
     // back through `module_source`, which re-renders exactly what the
@@ -89,12 +138,12 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
             Op::Ingest => {
                 let name = format!("m{next_module}");
                 next_module += 1;
-                corpus.ingest(workload(&name, 100 + next_module)).unwrap();
+                mutate(Mutation::Ingest(workload(&name, 100 + next_module)), &mut log);
                 live.push(name);
             }
             Op::Evict => {
                 let victim = live.remove(rng.gen_range(0..live.len()));
-                corpus.evict(&victim).unwrap();
+                mutate(Mutation::Evict(victim), &mut log);
             }
             Op::Update | Op::Touch | Op::IngestFunction | Op::Query if live.is_empty() => {
                 continue;
@@ -127,11 +176,10 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                 }
                 let src = siblings[rng.gen_range(0..siblings.len())];
                 let patch = body_swap_patch(&m, dst, src);
-                let up = corpus.update_function(name, dst, Some(&patch)).unwrap();
-                transcript.push_str(&format!(
-                    "step {step}: update {name}.{dst} changed={}\n",
-                    up.changed
-                ));
+                let update =
+                    Mutation::Update { module: name.clone(), func: dst.clone(), ir: Some(patch) };
+                let changed = mutate(update, &mut log);
+                transcript.push_str(&format!("step {step}: update {name}.{dst} changed={changed}\n"));
             }
             Op::Touch => {
                 let name = &live[rng.gen_range(0..live.len())];
@@ -139,8 +187,8 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                     .unwrap();
                 let funcs = eligible(&m);
                 let func = &funcs[rng.gen_range(0..funcs.len())];
-                let up = corpus.update_function(name, func, None).unwrap();
-                assert!(!up.changed, "a touch never changes IR");
+                let touch = Mutation::Update { module: name.clone(), func: func.clone(), ir: None };
+                assert!(!mutate(touch, &mut log), "a touch never changes IR");
             }
             Op::IngestFunction => {
                 let name = &live[rng.gen_range(0..live.len())];
@@ -151,32 +199,43 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
                 let fresh = format!("x{next_fresh}");
                 next_fresh += 1;
                 let patch = rename_patch(&m, src, &fresh);
-                corpus.ingest_function(name, &fresh, &patch).unwrap();
+                let append =
+                    Mutation::IngestFunction { module: name.clone(), func: fresh.clone(), ir: patch };
+                mutate(append, &mut log);
                 transcript.push_str(&format!("step {step}: ingest_function {name}.{fresh}\n"));
             }
             Op::Query => {
                 let name = &live[rng.gen_range(0..live.len())];
-                let (_, results) = corpus.query_module(name, 5).unwrap();
-                transcript.push_str(&format!("step {step}: query {name} {results:?}\n"));
+                let k = KS[step % KS.len()];
+                let (_, results) = corpus.query_module(name, k).unwrap();
+                transcript.push_str(&format!("step {step}: query {name} k={k} {results:?}\n"));
             }
         }
 
-        if check_rebuild && op != Op::Query {
-            // From-scratch rebuild of the surviving state: every live
-            // module's current source, ingested in order, into a fresh
-            // corpus. Every module query must match byte-for-byte.
-            let rebuilt = Corpus::new(cfg.clone());
-            for name in &live {
-                let src = corpus.module_source(name).unwrap();
-                rebuilt.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
+        if reference != Reference::None && op != Op::Query {
+            let fresh = Corpus::new(cfg.clone());
+            if reference == Reference::Rebuild {
+                // The surviving state from scratch: every live module's
+                // current source, ingested in order.
+                for name in &live {
+                    let src = corpus.module_source(name).unwrap();
+                    fresh.ingest(f3m_ir::parser::parse_module(&src).unwrap()).unwrap();
+                }
+            } else {
+                for m in &log {
+                    m.apply(&fresh);
+                }
             }
+            // Every module query must match byte-for-byte, at a k that
+            // rotates so warm memos of one width answer another.
+            let k = KS[(step + 1) % KS.len()];
             for name in &live {
-                let (_, inc) = corpus.query_module(name, 5).unwrap();
-                let (_, fresh) = rebuilt.query_module(name, 5).unwrap();
+                let (_, inc) = corpus.query_module(name, k).unwrap();
+                let (_, want) = fresh.query_module(name, k).unwrap();
                 assert_eq!(
                     format!("{inc:?}"),
-                    format!("{fresh:?}"),
-                    "incremental vs rebuilt diverged on `{name}` after step {step} ({op:?})"
+                    format!("{want:?}"),
+                    "incremental vs reference diverged on `{name}` after step {step} ({op:?})"
                 );
             }
         }
@@ -193,7 +252,16 @@ fn run_interleaving(seed: u64, jobs: usize, check_rebuild: bool) -> String {
 #[test]
 fn incremental_matches_rebuild_after_every_prefix() {
     for seed in [7, 42] {
-        run_interleaving(seed, 1, true);
+        run_interleaving(seed, 1, MergeParams::static_default(), Reference::Rebuild);
+    }
+}
+
+/// At `bucket_cap = 4` most buckets overflow, so almost every edit moves
+/// some third function into or out of a bucket's probe window.
+#[test]
+fn incremental_matches_an_unqueried_twin_under_a_tight_bucket_cap() {
+    for seed in [7, 42] {
+        run_interleaving(seed, 1, MergeParams::custom(200, 2, 0.0, 4), Reference::Twin);
     }
 }
 
@@ -202,11 +270,151 @@ fn interleaving_transcript_is_identical_across_jobs() {
     // The rebuild-equivalence is checked by the test above; here the
     // whole transcript (mutation summaries + every query result) must be
     // byte-identical across ingest worker counts.
-    let t1 = run_interleaving(42, 1, false);
-    let t2 = run_interleaving(42, 2, false);
-    let t8 = run_interleaving(42, 8, false);
+    let run = |jobs| run_interleaving(42, jobs, MergeParams::static_default(), Reference::None);
+    let (t1, t2, t8) = (run(1), run(2), run(8));
     assert_eq!(t1, t2, "jobs 1 vs 2 transcripts diverged");
     assert_eq!(t1, t8, "jobs 1 vs 8 transcripts diverged");
     assert!(t1.contains("query"), "transcript has no queries");
     assert!(t1.contains("update"), "transcript has no updates");
+}
+
+/// Body swaps `fN_0 ← fN_1` between signature-identical family members
+/// of `m`, as `(dst, patch)`, at most `n` of them.
+fn family_swaps(m: &Module, n: usize) -> Vec<(String, String)> {
+    let funcs = eligible(m);
+    let sig = |name: &str| {
+        let f = m.function(m.lookup_function(name).unwrap());
+        (f.params.clone(), f.ret_ty)
+    };
+    funcs
+        .iter()
+        .filter_map(|dst| {
+            let src = format!("{}_1", dst.strip_suffix("_0")?);
+            (funcs.contains(&src) && sig(dst) == sig(&src))
+                .then(|| (dst.clone(), body_swap_patch(m, dst, &src)))
+        })
+        .take(n)
+        .collect()
+}
+
+/// Ingests four `table1()[0]`-shape modules of `functions` functions,
+/// then applies body swaps to both a corpus whose memos are warmed at
+/// `k` after every swap and a twin that takes the same swaps with no
+/// queries in between, and requires every module query to match. (A
+/// twin, not a rebuild from re-rendered sources: an update's re-render
+/// can shift other functions' type encodings.)
+fn warm_memos_match_an_unqueried_twin(params: MergeParams, functions: usize, k: usize) {
+    let cfg = CorpusConfig { params, shards: 4, jobs: 1 };
+    let modules: Vec<Module> = (0..4u64)
+        .map(|i| {
+            let mut spec = f3m_workloads::table1()[0].clone();
+            spec.functions = functions;
+            spec.seed = 920 + i;
+            let mut m = f3m_workloads::build_module(&spec);
+            m.name = format!("p{i}");
+            m
+        })
+        .collect();
+    let edits: Vec<(&str, String, String)> = modules
+        .iter()
+        .flat_map(|m| family_swaps(m, 6).into_iter().map(|(d, p)| (m.name.as_str(), d, p)))
+        .collect();
+    assert!(edits.len() >= 12, "every module offers three swaps");
+    let sweep = |c: &Corpus| -> Vec<Vec<QueryResult>> {
+        modules.iter().map(|m| c.query_module(&m.name, k).unwrap().1).collect()
+    };
+    let (warm, twin) = (Corpus::new(cfg.clone()), Corpus::new(cfg));
+    for m in &modules {
+        warm.ingest(m.clone()).unwrap();
+        twin.ingest(m.clone()).unwrap();
+    }
+    sweep(&warm);
+    for (module, dst, patch) in &edits {
+        warm.update_function(module, dst, Some(patch)).unwrap();
+        twin.update_function(module, dst, Some(patch)).unwrap();
+        sweep(&warm);
+    }
+    assert!(sweep(&warm) == sweep(&twin), "a warm memo went stale");
+    assert!(warm.stats().memo_hits > 0, "the memo layer never engaged");
+}
+
+/// Multi-probe queriers reach buckets they are not members of through
+/// perturbed probe keys, so an edit can change their rankings without
+/// touching any bucket they belong to.
+#[test]
+fn probed_corpus_memos_match_an_unqueried_twin() {
+    let params = MergeParams::custom(200, 8, 0.0, 100)
+        .with_backend(BackendKind::Embed)
+        .with_probes(64);
+    warm_memos_match_an_unqueried_twin(params, 150, 5);
+}
+
+/// A body swap that moves a function out of (or into) the cap window of
+/// a bucket holding more than `bucket_cap` entries also exposes (or
+/// hides) a third entry to every probe of that bucket. These configs
+/// each go stale when the corpus ignores that entry in one direction.
+#[test]
+fn crowded_bucket_memos_match_an_unqueried_twin() {
+    warm_memos_match_an_unqueried_twin(MergeParams::custom(200, 2, 0.0, 8), 120, 5);
+    warm_memos_match_an_unqueried_twin(MergeParams::custom(16, 2, 0.0, 2), 120, 1);
+    warm_memos_match_an_unqueried_twin(MergeParams::custom(16, 2, 0.0, 4), 200, 20);
+}
+
+/// Queries racing single-function writes at `bucket_cap = 4` must not
+/// memoize a ranking that outlives the write it raced: once the writer
+/// is done, every module query matches a twin that took the same writes
+/// with no queries at all.
+#[test]
+fn rankings_raced_against_writes_match_an_unqueried_twin() {
+    let cfg = CorpusConfig {
+        params: MergeParams::custom(200, 2, 0.0, 4),
+        jobs: 1,
+        ..CorpusConfig::default()
+    };
+    let modules: Vec<Module> = (0..4u64).map(|i| workload(&format!("r{i}"), 300 + i)).collect();
+    let mut writes: Vec<(&str, String, Option<String>)> = Vec::new();
+    for m in &modules {
+        for (dst, patch) in family_swaps(m, 2) {
+            writes.push((&m.name, dst, Some(patch)));
+        }
+        for func in eligible(m).into_iter().take(6) {
+            writes.push((&m.name, func, None));
+        }
+    }
+    let (warm, twin) = (Corpus::new(cfg.clone()), Corpus::new(cfg));
+    for m in &modules {
+        warm.ingest(m.clone()).unwrap();
+        twin.ingest(m.clone()).unwrap();
+    }
+    let sweep = |c: &Corpus, k: usize| -> Vec<Vec<QueryResult>> {
+        modules.iter().map(|m| c.query_module(&m.name, k).unwrap().1).collect()
+    };
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for reader in 0..2 {
+            let (warm, done, sweep) = (&warm, &done, &sweep);
+            s.spawn(move || {
+                let mut i = reader;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    sweep(warm, KS[i % KS.len()]);
+                    i += 1;
+                }
+            });
+        }
+        for _ in 0..3 {
+            for (module, func, ir) in &writes {
+                warm.update_function(module, func, ir.as_deref()).unwrap();
+            }
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+    });
+    for _ in 0..3 {
+        for (module, func, ir) in &writes {
+            twin.update_function(module, func, ir.as_deref()).unwrap();
+        }
+    }
+    for k in KS {
+        assert!(sweep(&warm, k) == sweep(&twin, k), "a raced memo went stale at k = {k}");
+    }
+    assert!(warm.stats().memo_hits > 0, "the memo layer never engaged");
 }

@@ -136,18 +136,23 @@ impl<T: Copy + Ord + Hash> ShardedLshIndex<T> {
     /// could be affected by the change shares at least one of these
     /// buckets, and is therefore in the returned set.
     pub fn members_of_keys(&self, keys: &[BandKey]) -> Vec<T> {
-        let mut members: Vec<T> = Vec::new();
+        let mut members = Vec::new();
+        self.for_each_bucket(keys, |bucket| members.extend_from_slice(bucket));
+        members.sort_unstable();
+        members.dedup();
+        members
+    }
+
+    /// Calls `f` with every non-empty bucket under `keys`.
+    fn for_each_bucket(&self, keys: &[BandKey], mut f: impl FnMut(&[T])) {
         self.for_each_shard_batch(keys, |shard, batch| {
             let idx = shard.read().unwrap();
             for &key in batch {
                 if let Some(bucket) = idx.probe_key(key) {
-                    members.extend_from_slice(bucket);
+                    f(bucket);
                 }
             }
         });
-        members.sort_unstable();
-        members.dedup();
-        members
     }
 
     /// Applies a batch of removals then insertions and returns the union
@@ -189,6 +194,22 @@ impl<T: Copy + Ord + Hash> ShardedLshIndex<T> {
         dirty.sort_unstable();
         dirty.dedup();
         dirty
+    }
+
+    /// For each bucket under `keys` where `id` sits among the first
+    /// `bucket_cap` items of more than `bucket_cap`, the item at position
+    /// `bucket_cap`. A probe sees only a bucket's first `bucket_cap` items
+    /// (buckets are sorted), so that item is the one `id` hides by being
+    /// in the bucket, and would expose by leaving it.
+    pub fn displaced_by(&self, id: T, keys: &[BandKey]) -> Vec<T> {
+        let cap = self.params.bucket_cap;
+        let mut displaced = Vec::new();
+        self.for_each_bucket(keys, |bucket| {
+            if bucket.len() > cap && bucket[..cap].binary_search(&id).is_ok() {
+                displaced.push(bucket[cap]);
+            }
+        });
+        displaced
     }
 
     /// Distinct candidates sharing at least one band with the querier,
@@ -444,6 +465,22 @@ mod tests {
         assert!(dirty.contains(&2));
         assert!(dirty.contains(&1), "co-bucketed twin must be dirtied");
         assert!(!dirty.contains(&9), "disjoint item must not be dirtied");
+    }
+
+    /// `displaced_by` names the item just past the cap window, and only
+    /// while the given item sits inside the window of a crowded bucket.
+    #[test]
+    fn displaced_by_names_the_item_past_the_cap_window() {
+        let p = LshParams { rows: 2, bands: 4, bucket_cap: 2 };
+        let sharded: ShardedLshIndex<u32> = ShardedLshIndex::new(p, 2);
+        let keys = band_keys_for(p, &fp(1));
+        sharded.insert_with_keys(2, &keys);
+        sharded.insert_with_keys(4, &keys);
+        assert!(sharded.displaced_by(2, &keys).is_empty(), "two items fit a cap of two");
+        sharded.insert_with_keys(3, &keys);
+        assert_eq!(sharded.displaced_by(2, &keys), vec![4; keys.len()]);
+        assert_eq!(sharded.displaced_by(3, &keys), vec![4; keys.len()]);
+        assert!(sharded.displaced_by(4, &keys).is_empty(), "item 4 is past the window");
     }
 
     /// Export + restore over all shards reproduces the index exactly,

@@ -257,6 +257,9 @@ struct SnapshotStatus {
     rebuilt: bool,
     /// Live entries resident right after startup.
     entries: u64,
+    /// The corpus epoch the snapshot file holds: the restored one. The
+    /// daemon saves only at shutdown, so that is also the last save.
+    on_disk: Option<u64>,
 }
 
 /// One unit of accepted work, owned by a worker between pop and
@@ -798,10 +801,12 @@ impl<'a> EventLoop<'a> {
     }
 }
 
-/// Saves the index snapshot and writes the metrics and trace artefacts,
-/// if configured.
+/// Saves the index snapshot — unless the file already holds the
+/// corpus's epoch — and writes the metrics and trace artefacts, if
+/// configured.
 fn flush_artifacts(cfg: &ServeConfig, shared: &Shared) {
-    let snapshot_saved = cfg.snapshot_path.as_ref().map(|path| {
+    let unchanged = shared.snapshot.on_disk == Some(shared.corpus.epoch());
+    let snapshot_saved = cfg.snapshot_path.as_ref().filter(|_| !unchanged).map(|path| {
         match shared.corpus.save_snapshot(path) {
             Ok(()) => true,
             Err(e) => {
@@ -844,6 +849,7 @@ fn open_corpus(cfg: &ServeConfig, corpus_cfg: CorpusConfig) -> (Corpus, Snapshot
         Ok(corpus) => {
             status.load_ms = t0.elapsed().as_millis() as u64;
             status.loaded = true;
+            status.on_disk = Some(corpus.epoch());
             status.entries = corpus.stats().functions_live as u64;
             let pager = corpus
                 .residency()

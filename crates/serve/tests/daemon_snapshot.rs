@@ -168,3 +168,52 @@ fn corrupt_snapshot_starts_empty_and_recovers_on_next_save() {
     shutdown(addr2, handle2);
     let _ = std::fs::remove_dir_all(snap.parent().unwrap());
 }
+
+#[test]
+fn shutdown_rewrites_the_snapshot_only_after_a_change() {
+    let snap = tmp_snap("unchanged");
+    let module = workload("un_a", 71);
+    let func = module
+        .defined_functions()
+        .into_iter()
+        .find(|&f| module.function(f).num_linked_insts() > 0)
+        .map(|f| module.function(f).name.clone())
+        .expect("workload has a merge-eligible function");
+
+    // First life writes the snapshot.
+    let (addr, handle) = start(snap.clone());
+    let mut c = Client::connect(addr).unwrap();
+    let ir = f3m_ir::printer::print_module(&module);
+    c.call_expect(Request::Ingest { name: None, ir }, "ingested").unwrap();
+    drop(c);
+    shutdown(addr, handle);
+
+    // Backdate the file, so any rewrite moves its modification time.
+    let backdated = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+    let file = std::fs::File::options().write(true).open(&snap).unwrap();
+    file.set_modified(backdated).unwrap();
+    drop(file);
+    let modified = || std::fs::metadata(&snap).unwrap().modified().unwrap();
+
+    // Restore, query, shut down: the corpus never moved past the epoch
+    // it restored at, so the file stays as it was.
+    let (addr, handle) = start(snap.clone());
+    let before = query(addr, "un_a");
+    shutdown(addr, handle);
+    assert_eq!(modified(), backdated, "an unchanged corpus rewrote its snapshot");
+
+    // Restore, touch one function, shut down: the file is rewritten.
+    let (addr, handle) = start(snap.clone());
+    let mut c = Client::connect(addr).unwrap();
+    let touch = Request::Update { module: "un_a".into(), func, ir: None };
+    c.call_expect(touch, "updated").unwrap();
+    drop(c);
+    shutdown(addr, handle);
+    assert_ne!(modified(), backdated, "a changed corpus kept its old snapshot");
+
+    // The rewritten snapshot restores and answers as before.
+    let (addr, handle) = start(snap.clone());
+    assert_eq!(query(addr, "un_a").len(), before.len());
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(snap.parent().unwrap());
+}
